@@ -7,7 +7,6 @@ threshold achieves peak precision because pruning bypasses noisy late
 layers).
 """
 
-import numpy as np
 from conftest import run_once
 
 from repro.harness.experiments import fig10_tradeoff

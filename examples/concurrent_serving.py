@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Concurrent serving on one device: priority lanes vs FIFO.
 
-DESIGN.md §6: every engine's ``rerank()`` is a drive-to-completion
-loop over a resumable :class:`RerankTask`, and a
+DESIGN.md §6: every engine pass is a resumable :class:`RerankTask`
+stepped one layer at a time, and a
 :class:`DeviceScheduler` time-multiplexes several in-flight tasks on
 the device's single virtual clock, preempting at layer boundaries.
 This example mixes a batch lane (heavy candidate pools, all due at

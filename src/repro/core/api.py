@@ -1,14 +1,9 @@
 """The unified request-centric serving API (DESIGN.md §8).
 
-Three serving tiers grew three front doors: ``EngineBase.rerank``
-(direct execution), ``DeviceScheduler.submit``/``drain`` +
-``SemanticSelectionService.select``/``select_concurrent`` (one shared
-device), and ``FleetService.submit``/``drain`` (replicated fleet).
-Apps and experiments were hard-wired to one tier and could not express
-per-request intent — priority, deadline, sampling, cancellation —
-uniformly.
-
-This module is the single front door.  One :class:`SelectionRequest`
+This module is the single front door to all three serving tiers
+(direct execution on one engine, one shared device, a replicated
+fleet), so callers express per-request intent — priority, deadline,
+sampling, cancellation — uniformly.  One :class:`SelectionRequest`
 carries everything a caller may want to say about a request; one
 :class:`SelectionResponse` carries everything a tier can say back
 (unified result + queue/service/e2e timing + provenance); and one
@@ -39,7 +34,6 @@ refcounts at the next layer boundary.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, Protocol, Sequence, runtime_checkable
 
@@ -112,11 +106,10 @@ class SelectionRequest:
         admission charges this tenant's token bucket and orders the
         flush by its fair-queueing tag; the id is echoed into
         :class:`SelectionResponse`, :class:`~repro.core.fleet.RequestOutcome`
-        and every emitted event.  ``None`` = untenanted.  (Before §13
-        callers smuggled the id through ``metadata["tenant"]``; that
-        spelling still works but is deprecated — see ``__post_init__``.)
+        and every emitted event.  ``None`` = untenanted.
     metadata:
-        Free-form caller annotations, echoed untouched.
+        Free-form caller annotations, echoed untouched and never
+        interpreted (a ``"tenant"`` key does not set :attr:`tenant`).
     """
 
     batch: CandidateBatch
@@ -132,16 +125,6 @@ class SelectionRequest:
     metadata: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.tenant is None and "tenant" in self.metadata:
-            # Deprecation shim: pre-§13 callers tagged tenants via
-            # metadata; promote the value to the first-class field.
-            warnings.warn(
-                "passing the tenant id via SelectionRequest.metadata['tenant'] "
-                "is deprecated; use the first-class SelectionRequest.tenant field",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            object.__setattr__(self, "tenant", str(self.metadata["tenant"]))
         if self.k <= 0:
             raise ValueError("k must be positive")
         if self.priority < 0:

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import struct
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from hashlib import blake2b
 from typing import Any
 

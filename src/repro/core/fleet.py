@@ -43,7 +43,6 @@ coherent simulated axis.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -533,10 +532,13 @@ class FleetService:
         :class:`~repro.core.service.SemanticSelectionService`
         (``precision_target``, ``sample_rate``, ``step``, bounds).
 
-    Usage: :meth:`submit` requests (optionally with explicit arrival
+    Usage: :meth:`submit_request` requests (optionally with explicit arrival
     times on the fleet clock), then :meth:`drain` to run the admission
-    loop to completion; :meth:`idle_maintenance` between traffic waves
-    runs the coordinated calibration pass.
+    loop to completion — or serve
+    :class:`~repro.core.api.SelectionRequest`\\ s through
+    :class:`~repro.core.api.FleetServer` (DESIGN.md §8);
+    :meth:`idle_maintenance` between traffic waves runs the coordinated
+    calibration pass.
     """
 
     def __init__(
@@ -714,23 +716,6 @@ class FleetService:
         caller's correlation id when one was supplied.
         """
         return self._dropped
-
-    def submit(self, batch: CandidateBatch, k: int, at: float | None = None) -> int:
-        """Deprecated: admit one request; returns its fleet-local id.
-
-        Legacy shim over :meth:`submit_request` — the request-centric
-        path is a :class:`~repro.core.api.SelectionRequest` submitted
-        through :class:`~repro.core.api.FleetServer` (DESIGN.md §8,
-        ``docs/api.md``).  ``at`` is the arrival instant on the fleet
-        clock (defaults to *now*).
-        """
-        warnings.warn(
-            "FleetService.submit() is deprecated; submit a SelectionRequest "
-            "through repro.core.api.FleetServer (see docs/api.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.submit_request(batch, k, at=at)
 
     def submit_request(
         self,

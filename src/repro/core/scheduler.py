@@ -1,16 +1,16 @@
 """DeviceScheduler: concurrent multi-request serving on one device (DESIGN.md §6).
 
-One engine used to serve strictly one request at a time — `rerank()`
-held the device for the whole monolithic pass.  The step-based
-execution core (:class:`~repro.core.engine.RerankTask`) turns a pass
-into a resumable sequence of layer steps, and this module adds the
-scheduler that time-multiplexes several in-flight passes on the single
-:class:`~repro.device.clock.VirtualClock`:
+A monolithic pass would hold the device for one request at a time.
+The step-based execution core (:class:`~repro.core.engine.RerankTask`)
+turns a pass into a resumable sequence of layer steps, and this module
+adds the scheduler that time-multiplexes several in-flight passes on
+the single :class:`~repro.device.clock.VirtualClock`:
 
-* **Admission** — requests are :meth:`~DeviceScheduler.submit`\\ ted
-  with arrival times on the device clock; at most ``max_concurrency``
-  tasks hold device resources at once (memory for hidden states and
-  stream buffers is per in-flight task), the rest wait in the queue.
+* **Admission** — requests are admitted by
+  :meth:`~DeviceScheduler.submit_request` with arrival times on the
+  device clock; at most ``max_concurrency`` tasks hold device
+  resources at once (memory for hidden states and stream buffers is
+  per in-flight task), the rest wait in the queue.
   One exception keeps the priority guarantee honest: under the
   ``priority`` policy an arrival may be admitted over the cap while a
   strictly lower-priority task is in flight, so a cap saturated by
@@ -35,7 +35,6 @@ scheduler that time-multiplexes several in-flight passes on the single
 from __future__ import annotations
 
 import contextlib
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -256,15 +255,18 @@ class DeviceScheduler:
     The engine must already be ``prepare()``\\ d.  Typical use::
 
         scheduler = DeviceScheduler(engine, SchedulerConfig(policy="priority"))
-        scheduler.submit(batch_a, k=10)                       # batch lane
-        scheduler.submit(batch_b, k=3, priority=LANE_INTERACTIVE, at=0.1)
+        scheduler.submit_request(batch_a, k=10)               # batch lane
+        scheduler.submit_request(batch_b, k=3, priority=LANE_INTERACTIVE, arrival=0.1)
         outcomes = scheduler.drain()
 
-    ``drain()`` replays arrivals on the device clock and runs the
-    policy loop until every submitted request completes; per-request
-    selections are byte-identical to solo execution because candidate
-    scores depend only on (model seed, uid, layer), never on what else
-    shares the device (DESIGN.md §2, §6).
+    Serving code normally reaches the scheduler through
+    :class:`~repro.core.api.DeviceServer` (DESIGN.md §8), which resolves
+    request offsets against the device clock.  ``drain()`` replays
+    arrivals on the device clock and runs the policy loop until every
+    submitted request completes; per-request selections are
+    byte-identical to solo execution because candidate scores depend
+    only on (model seed, uid, layer), never on what else shares the
+    device (DESIGN.md §2, §6).
     """
 
     def __init__(
@@ -302,30 +304,6 @@ class DeviceScheduler:
     @property
     def pending_requests(self) -> int:
         return len(self._pending)
-
-    def submit(
-        self,
-        batch: CandidateBatch,
-        k: int,
-        at: float | None = None,
-        priority: int = LANE_BATCH,
-        sample: bool | None = None,
-    ) -> int:
-        """Deprecated: admit one request; returns its scheduler-local id.
-
-        Legacy shim over :meth:`submit_request` — the request-centric
-        path is a :class:`~repro.core.api.SelectionRequest` submitted
-        through :class:`~repro.core.api.DeviceServer` (DESIGN.md §8,
-        ``docs/api.md``).  ``at`` is the arrival instant on the device
-        clock (defaults to *now*); ``priority`` selects the lane.
-        """
-        warnings.warn(
-            "DeviceScheduler.submit() is deprecated; submit a SelectionRequest "
-            "through repro.core.api.DeviceServer (see docs/api.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.submit_request(batch, k, arrival=at, priority=priority, sample=sample)
 
     def submit_request(
         self,

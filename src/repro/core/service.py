@@ -10,13 +10,12 @@ falls below the target, down when there is headroom.
 :class:`SemanticSelectionService` implements that loop around a live
 :class:`~repro.core.engine.PrismEngine`:
 
-* :meth:`select` serves requests at the current threshold, logging a
-  deterministic ``sample_rate`` fraction of them;
-* :meth:`select_concurrent` serves a wave of requests through the
-  step-multiplexing :class:`~repro.core.scheduler.DeviceScheduler`
-  (DESIGN.md §6): up to ``max_concurrency`` requests share the device,
-  interleaved at layer boundaries, with the same deterministic
-  :class:`SampleStride` feeding the idle-check log;
+* :meth:`serve_requests` serves a wave of requests at the current
+  threshold through the step-multiplexing
+  :class:`~repro.core.scheduler.DeviceScheduler` (DESIGN.md §6): up to
+  ``max_concurrency`` requests share the device, interleaved at layer
+  boundaries, and a deterministic :class:`SampleStride` logs a
+  ``sample_rate`` fraction of them for idle checking;
 * :meth:`idle_maintenance` models the device-idle background pass — it
   replays the logged requests unpruned on a *shadow* device (so the
   serving clock and memory are untouched), measures top-K agreement,
@@ -43,7 +42,6 @@ from .data_plane import DataPlane, SharedEmbeddingCache, clone_result
 from .engine import PrismEngine, RerankResult
 from .metrics import top_k_overlap
 from .scheduler import (
-    LANE_BATCH,
     DeviceScheduler,
     DroppedRequest,
     ScheduledOutcome,
@@ -114,10 +112,9 @@ class DeviceWave:
 
     Produced by :meth:`SemanticSelectionService.serve_requests`; the
     :class:`~repro.core.api.DeviceServer` adapter turns it into
-    :class:`~repro.core.api.SelectionResponse`\\ s, and the legacy
-    ``select_concurrent`` shim returns its ``outcomes`` directly.
-    ``request_ids`` aligns with the wave's input order, mapping each
-    input to its scheduler-local id.
+    :class:`~repro.core.api.SelectionResponse`\\ s.  ``request_ids``
+    aligns with the wave's input order, mapping each input to its
+    scheduler-local id.
     """
 
     outcomes: list[ScheduledOutcome]
@@ -147,8 +144,8 @@ class SemanticSelectionService:
     min_threshold / max_threshold:
         Clamp range for the walk.
     max_concurrency:
-        In-flight request cap of the concurrent serving mode
-        (:meth:`select_concurrent`); ``1`` keeps the service strictly
+        In-flight request cap of a serving wave
+        (:meth:`serve_requests`); ``1`` keeps the service strictly
         serial.  Each in-flight request holds its own hidden-state and
         stream-buffer memory, so the cap bounds serving overhead.
     shared_weights:
@@ -226,7 +223,7 @@ class SemanticSelectionService:
         self.stats = ServiceStats()
         self._pending_samples: list[SampledRequest] = []
         self._stride = SampleStride(sample_rate)
-        #: The scheduler of the most recent :meth:`select_concurrent`
+        #: The scheduler of the most recent :meth:`serve_requests`
         #: wave — its ``stats()`` (lane percentiles, queue waits,
         #: throughput) and ``trace_text()`` stay reachable after the
         #: wave completes.
@@ -259,35 +256,6 @@ class SemanticSelectionService:
     # ------------------------------------------------------------------
     # serving path
     # ------------------------------------------------------------------
-    def select(
-        self, batch: CandidateBatch, k: int, sample: bool | None = None
-    ) -> RerankResult:
-        """Deprecated: serve one request; log it for idle checking.
-
-        Legacy shim over the request-centric API (DESIGN.md §8): wrap
-        the arguments in a :class:`~repro.core.api.SelectionRequest`
-        and submit through :class:`~repro.core.api.DeviceServer`
-        instead (``docs/api.md`` maps every call site).
-
-        ``sample`` overrides the internal sampling policy for this
-        request: ``True`` forces the request into the idle-check log,
-        ``False`` keeps it out, and ``None`` (default) applies the
-        deterministic ``sample_rate`` stride.  External drivers (the
-        fleet admission layer) use the override to keep the sampled
-        stream uniform across replicas even under skewed routing.
-        """
-        warnings.warn(
-            "SemanticSelectionService.select() is deprecated; submit a "
-            "SelectionRequest through repro.core.api.DeviceServer (see docs/api.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if k <= 0:
-            raise ValueError("k must be positive")
-        result = self._serve_solo(batch, k, sample=sample)
-        assert result is not None  # no cancellation on the legacy path
-        return result
-
     def _serve_solo(
         self,
         batch: CandidateBatch,
@@ -297,9 +265,12 @@ class SemanticSelectionService:
     ) -> RerankResult | None:
         """Serve one request to completion on the serving engine.
 
-        The internal solo path shared by the legacy ``select`` shim and
-        the fleet's serial dispatch.  ``cancel_at`` (absolute device
-        time) cancels the pass at its next layer boundary — the task is
+        The fleet's serial dispatch path; a one-request
+        :meth:`serve_requests` wave (DESIGN.md §8) produces the same
+        result, clock and memory.  ``sample`` forces (``True``) or
+        suppresses (``False``) idle-check logging; ``None`` applies the
+        deterministic stride.  ``cancel_at`` (absolute device time)
+        cancels the pass at its next layer boundary — the task is
         closed (releasing any weight-plane refcounts) and ``None`` is
         returned; cancelled requests are neither counted as served nor
         logged for idle checking.
@@ -317,69 +288,6 @@ class SemanticSelectionService:
                 SampledRequest(batch=batch, k=k, served_top=result.top_indices.copy())
             )
         return result
-
-    def select_concurrent(
-        self,
-        requests: Sequence[tuple[CandidateBatch, int]],
-        arrivals: Sequence[float] | None = None,
-        priorities: Sequence[int] | None = None,
-        samples: Sequence[bool | None] | None = None,
-        policy: str = "round_robin",
-        quantum_layers: int = 1,
-        max_skew: float = 0.0,
-    ) -> list[ScheduledOutcome]:
-        """Deprecated: serve a wave of requests concurrently.
-
-        Legacy shim over :meth:`serve_requests` — it zips the parallel
-        argument sequences into :class:`~repro.core.api.SelectionRequest`
-        objects and returns the wave's raw
-        :class:`~repro.core.scheduler.ScheduledOutcome`\\ s.  Migrate to
-        :class:`~repro.core.api.DeviceServer` (``docs/api.md``).
-
-        ``arrivals`` are offsets in seconds from the call instant
-        (default: all due immediately); ``priorities`` pick scheduler
-        lanes (default: batch lane); ``max_skew`` threads through to
-        the ``fusion`` policy's group-join bound.  Sampling semantics
-        match :meth:`select`: decided per request in submission order
-        through the deterministic :class:`SampleStride` (or forced via
-        ``samples``), so the idle-check log cannot depend on policy.
-        """
-        warnings.warn(
-            "SemanticSelectionService.select_concurrent() is deprecated; submit "
-            "SelectionRequests through repro.core.api.DeviceServer (see docs/api.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from .api import SelectionRequest
-
-        requests = list(requests)
-        if arrivals is not None and len(arrivals) != len(requests):
-            raise ValueError("arrivals must match requests")
-        if priorities is not None and len(priorities) != len(requests):
-            raise ValueError("priorities must match requests")
-        if samples is not None and len(samples) != len(requests):
-            raise ValueError("samples must match requests")
-        # Construct (and thereby validate) the whole wave before any
-        # state moves — SelectionRequest.__post_init__ enforces the
-        # same bounds the parallel-sequence API documented.
-        wave_requests = [
-            SelectionRequest(
-                batch=batch,
-                k=k,
-                request_id=index,
-                arrival=arrivals[index] if arrivals is not None else None,
-                priority=priorities[index] if priorities is not None else LANE_BATCH,
-                sample=samples[index] if samples is not None else None,
-            )
-            for index, (batch, k) in enumerate(requests)
-        ]
-        wave = self.serve_requests(
-            wave_requests,
-            policy=policy,
-            quantum_layers=quantum_layers,
-            max_skew=max_skew,
-        )
-        return wave.outcomes
 
     def serve_requests(
         self,

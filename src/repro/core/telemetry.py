@@ -34,7 +34,7 @@ from __future__ import annotations
 import re
 import threading
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 import numpy as np

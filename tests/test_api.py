@@ -4,11 +4,9 @@ One ``SelectionRequest`` flows unchanged through every tier:
 ``EngineServer`` (direct), ``DeviceServer`` (scheduler + service
 loop), ``FleetServer`` (batched, routed replicas).  The intent fields
 are real — deadlines shed at admission, cancellation closes in-flight
-tasks at layer boundaries — and the legacy ``rerank``/``select``/
-``submit`` entry points survive as shims emitting DeprecationWarning.
+tasks at layer boundaries.
 """
 
-import numpy as np
 import pytest
 
 import repro.core as core
@@ -363,42 +361,6 @@ class TestFleetCorrelation:
             wave(2, priority=LANE_INTERACTIVE),
         )
         assert all(r.lane == LANE_INTERACTIVE for r in responses)
-
-
-class TestDeprecationShims:
-    def test_rerank_warns_and_matches(self):
-        engine = make_engine()
-        batch = make_batch()
-        via_api = (
-            EngineServer(engine)
-            .submit(SelectionRequest(batch=batch, k=4))
-            .result()
-            .result
-        )
-        with pytest.warns(DeprecationWarning, match="rerank"):
-            legacy = engine.rerank(batch, 4)
-        np.testing.assert_array_equal(legacy.top_indices, via_api.top_indices)
-
-    def test_select_warns(self):
-        service = make_service()
-        with pytest.warns(DeprecationWarning, match="select"):
-            service.select(make_batch(), 3)
-
-    def test_select_concurrent_warns(self):
-        service = make_service()
-        with pytest.warns(DeprecationWarning, match="select_concurrent"):
-            outcomes = service.select_concurrent([(make_batch(), 3)])
-        assert len(outcomes) == 1
-
-    def test_scheduler_submit_warns(self):
-        scheduler = DeviceScheduler(make_engine())
-        with pytest.warns(DeprecationWarning, match="submit"):
-            scheduler.submit(make_batch(), 3)
-
-    def test_fleet_submit_warns(self):
-        fleet = make_fleet(num_replicas=1)
-        with pytest.warns(DeprecationWarning, match="submit"):
-            fleet.submit(make_batch(), 3)
 
 
 class TestResponseTiming:

@@ -42,27 +42,27 @@ class TestHFEngine:
 
     def test_every_candidate_pays_every_layer(self):
         engine = prepared(HFEngine)
-        result = engine.rerank(make_batch(20), 10)
+        result = engine.start(make_batch(20), 10).run()
         assert result.candidate_layers == 20 * QWEN3_0_6B.num_layers
 
     def test_returns_reference_topk(self):
         engine = prepared(HFEngine)
         batch = make_batch(20)
-        result = engine.rerank(batch, 10)
+        result = engine.start(batch, 10).run()
         reference = np.argsort(-engine.model.full_forward(batch, numerics=False))[:10]
         assert set(result.top_indices.tolist()) == set(reference.tolist())
 
     def test_minibatching_transparent_to_scores(self):
         """Mini-batch size must not change the ranking (only memory)."""
         batch = make_batch(20)
-        small = prepared(HFEngine, batch_size=4).rerank(batch, 10)
-        large = prepared(HFEngine, batch_size=20).rerank(batch, 10)
+        small = prepared(HFEngine, batch_size=4).start(batch, 10).run()
+        large = prepared(HFEngine, batch_size=20).start(batch, 10).run()
         assert np.array_equal(small.top_indices, large.top_indices)
 
     def test_no_io_during_inference(self):
         engine = prepared(HFEngine)
         stall_after_prepare = engine.executor.io_stall_seconds
-        result = engine.rerank(make_batch(), 10)
+        result = engine.start(make_batch(), 10).run()
         assert result.io_stall_seconds == 0.0
         assert engine.executor.io_stall_seconds == stall_after_prepare
 
@@ -81,15 +81,15 @@ class TestHFOffloadEngine:
     def test_slower_than_in_memory_hf(self):
         """Synchronous per-layer loads on the critical path (§6.1)."""
         batch = make_batch(20)
-        hf = prepared(HFEngine).rerank(batch, 10)
-        offload = prepared(HFOffloadEngine).rerank(batch, 10)
+        hf = prepared(HFEngine).start(batch, 10).run()
+        offload = prepared(HFOffloadEngine).start(batch, 10).run()
         assert offload.latency_seconds > hf.latency_seconds
 
     def test_reloads_per_minibatch(self):
         """The layer sequence is re-read for every mini-batch — the
         cost PRISM's monolithic batch eliminates."""
         engine = prepared(HFOffloadEngine, batch_size=10)
-        engine.rerank(make_batch(20), 10)  # 2 mini-batches
+        engine.start(make_batch(20), 10).run()  # 2 mini-batches
         reads = [
             r
             for r in engine.device.ssd.request_log
@@ -99,13 +99,13 @@ class TestHFOffloadEngine:
 
     def test_same_ranking_as_hf(self):
         batch = make_batch(20)
-        hf = prepared(HFEngine).rerank(batch, 10)
-        offload = prepared(HFOffloadEngine).rerank(batch, 10)
+        hf = prepared(HFEngine).start(batch, 10).run()
+        offload = prepared(HFOffloadEngine).start(batch, 10).run()
         assert np.array_equal(hf.top_indices, offload.top_indices)
 
     def test_io_stall_accounted(self):
         engine = prepared(HFOffloadEngine)
-        result = engine.rerank(make_batch(), 10)
+        result = engine.start(make_batch(), 10).run()
         assert result.io_stall_seconds > 0.0
 
     def test_deserialize_efficiency_validated(self):
@@ -129,15 +129,15 @@ class TestQuantization:
         """W4A16 prefill pays dequantization overhead on edge GPUs
         (§2.3) — HF Quant trades latency for memory, Figure 8/9."""
         batch = make_batch(20)
-        hf = prepared(HFEngine).rerank(batch, 10)
-        quant = prepared(HFQuantEngine).rerank(batch, 10)
+        hf = prepared(HFEngine).start(batch, 10).run()
+        quant = prepared(HFQuantEngine).start(batch, 10).run()
         assert quant.latency_seconds > hf.latency_seconds
         assert quant.latency_seconds < 1.5 * hf.latency_seconds
 
     def test_offload_quant_variant(self):
         engine = prepared(HFOffloadQuantEngine)
         assert engine.name == "hf_offload_quant"
-        result = engine.rerank(make_batch(), 5)
+        result = engine.start(make_batch(), 5).run()
         assert result.k == 5
 
     def test_prism_quant_requires_quant_config(self):
@@ -153,7 +153,7 @@ class TestQuantization:
             shared_model(QWEN3_0_6B), device, PrismConfig.quant(numerics=False)
         )
         engine.prepare()
-        result = engine.rerank(make_batch(), 10)
+        result = engine.start(make_batch(), 10).run()
         assert engine.name == "prism_quant"
         assert result.k == 10
 

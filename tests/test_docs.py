@@ -158,7 +158,7 @@ def test_serving_docs_cover_all_four_modes():
     ):
         assert name in serving, f"docs/serving.md no longer documents {name}"
     for concept in (
-        "select_concurrent",
+        "serve_requests",
         "intra_concurrency",
         "priority",
         "WeightPlane",

@@ -21,7 +21,7 @@ def make_cache(executor, capacity=4, row_nbytes=2048):
 
 class TestLifecycle:
     def test_allocate_charges_fixed_slab(self, executor):
-        cache = make_cache(executor, capacity=10, row_nbytes=1000)
+        make_cache(executor, capacity=10, row_nbytes=1000)
         assert executor.device.memory.live_bytes("embedding-cache") == 10_000
 
     def test_allocate_idempotent(self, executor):

@@ -32,7 +32,7 @@ class TestLifecycle:
         engine = PrismEngine(shared_model(QWEN3_0_6B), device, PrismConfig(numerics=False))
         _, batch = make_batch()
         with pytest.raises(RuntimeError):
-            engine.rerank(batch, 5)
+            engine.start(batch, 5).run()
 
     def test_prepare_idempotent(self):
         engine = make_engine()
@@ -44,12 +44,12 @@ class TestLifecycle:
         engine = make_engine()
         _, batch = make_batch()
         with pytest.raises(ValueError):
-            engine.rerank(batch, 0)
+            engine.start(batch, 0).run()
 
     def test_k_clamped_to_pool(self):
         engine = make_engine()
         _, batch = make_batch(num_candidates=5)
-        result = engine.rerank(batch, 50)
+        result = engine.start(batch, 50).run()
         assert result.k == 5
 
 
@@ -59,7 +59,7 @@ class TestSelectionQuality:
         config = PrismConfig(pruning_enabled=False, numerics=False)
         engine = make_engine(config)
         _, batch = make_batch()
-        result = engine.rerank(batch, 10)
+        result = engine.start(batch, 10).run()
         reference = np.argsort(-engine.model.full_forward(batch, numerics=False))[:10]
         assert set(result.top_indices.tolist()) == set(reference.tolist())
 
@@ -67,15 +67,17 @@ class TestSelectionQuality:
         """Progressive cluster pruning must not change the top-K set
         (the paper's core precision claim, Table 3)."""
         _, batch = make_batch()
-        pruned = make_engine(PrismConfig(numerics=False)).rerank(batch, 10)
-        unpruned = make_engine(PrismConfig(pruning_enabled=False, numerics=False)).rerank(batch, 10)
+        pruned = make_engine(PrismConfig(numerics=False)).start(batch, 10).run()
+        unpruned = (
+            make_engine(PrismConfig(pruning_enabled=False, numerics=False)).start(batch, 10).run()
+        )
         overlap = len(set(pruned.top_indices.tolist()) & set(unpruned.top_indices.tolist()))
         assert overlap >= 9  # at most one borderline swap
 
     def test_deterministic_across_runs(self):
         _, batch = make_batch()
-        a = make_engine().rerank(batch, 10)
-        b = make_engine().rerank(batch, 10)
+        a = make_engine().start(batch, 10).run()
+        b = make_engine().start(batch, 10).run()
         assert np.array_equal(a.top_indices, b.top_indices)
         assert a.latency_seconds == pytest.approx(b.latency_seconds)
 
@@ -84,7 +86,7 @@ class TestSelectionQuality:
         config = PrismConfig(exact_rank_mode=True, numerics=False)
         engine = make_engine(config)
         _, batch = make_batch()
-        result = engine.rerank(batch, 3)
+        result = engine.start(batch, 3).run()
         final = engine.model.dynamics.final_scores(batch.relevance, batch.uids)
         for idx, score in zip(result.top_indices, result.top_scores):
             assert score == pytest.approx(final[int(idx)])
@@ -93,26 +95,30 @@ class TestSelectionQuality:
         config = PrismConfig(exact_rank_mode=True, numerics=False)
         engine = make_engine(config)
         _, batch = make_batch()
-        result = engine.rerank(batch, 5)
+        result = engine.start(batch, 5).run()
         assert (np.diff(result.top_scores) <= 1e-12).all()
 
 
 class TestPruningBehaviour:
     def test_pruning_reduces_candidate_layers(self):
         _, batch = make_batch()
-        pruned = make_engine(PrismConfig(numerics=False)).rerank(batch, 10)
-        full = make_engine(PrismConfig(pruning_enabled=False, numerics=False)).rerank(batch, 10)
+        pruned = make_engine(PrismConfig(numerics=False)).start(batch, 10).run()
+        full = (
+            make_engine(PrismConfig(pruning_enabled=False, numerics=False)).start(batch, 10).run()
+        )
         assert pruned.candidate_layers < full.candidate_layers
 
     def test_pruning_reduces_latency(self):
         _, batch = make_batch()
-        pruned = make_engine(PrismConfig(numerics=False)).rerank(batch, 10)
-        full = make_engine(PrismConfig(pruning_enabled=False, numerics=False)).rerank(batch, 10)
+        pruned = make_engine(PrismConfig(numerics=False)).start(batch, 10).run()
+        full = (
+            make_engine(PrismConfig(pruning_enabled=False, numerics=False)).start(batch, 10).run()
+        )
         assert pruned.latency_seconds < full.latency_seconds
 
     def test_prune_events_recorded(self):
         _, batch = make_batch()
-        result = make_engine(PrismConfig(numerics=False)).rerank(batch, 10)
+        result = make_engine(PrismConfig(numerics=False)).start(batch, 10).run()
         assert result.prune_events
         event = result.prune_events[0]
         assert event.layer >= 1
@@ -120,19 +126,23 @@ class TestPruningBehaviour:
 
     def test_lower_threshold_prunes_earlier(self):
         _, batch = make_batch()
-        aggressive = make_engine(PrismConfig(numerics=False).with_threshold(0.05)).rerank(batch, 10)
-        conservative = make_engine(PrismConfig(numerics=False).with_threshold(0.8)).rerank(batch, 10)
+        aggressive = (
+            make_engine(PrismConfig(numerics=False).with_threshold(0.05)).start(batch, 10).run()
+        )
+        conservative = (
+            make_engine(PrismConfig(numerics=False).with_threshold(0.8)).start(batch, 10).run()
+        )
         assert aggressive.candidate_layers <= conservative.candidate_layers
 
     def test_min_layers_respected(self):
         config = PrismConfig(numerics=False, min_layers_before_pruning=10).with_threshold(0.01)
-        result = make_engine(config).rerank(make_batch()[1], 10)
+        result = make_engine(config).start(make_batch()[1], 10).run()
         for event in result.prune_events:
             assert event.layer >= 10
 
     def test_early_termination_flag(self):
         config = PrismConfig(numerics=False).with_threshold(0.05)
-        result = make_engine(config).rerank(make_batch()[1], 10)
+        result = make_engine(config).start(make_batch()[1], 10).run()
         if result.layers_executed < QWEN3_0_6B.num_layers:
             assert result.terminated_early
 
@@ -144,7 +154,7 @@ class TestMemoryBehaviour:
         from repro.model import costs
 
         engine = make_engine(PrismConfig(numerics=False))
-        engine.rerank(make_batch()[1], 10)
+        engine.start(make_batch()[1], 10).run()
         stats = engine.device.memory.stats()
         weights_peak = stats.peak_by_category.get("weights", 0)
         full_set = costs.all_layer_weight_bytes(QWEN3_0_6B)
@@ -155,7 +165,7 @@ class TestMemoryBehaviour:
 
         config = PrismConfig(layer_streaming=False, numerics=False)
         engine = make_engine(config)
-        engine.rerank(make_batch()[1], 10)
+        engine.start(make_batch()[1], 10).run()
         weights = engine.device.memory.in_use_by_category("weights")
         assert weights >= costs.all_layer_weight_bytes(QWEN3_0_6B)
 
@@ -177,7 +187,7 @@ class TestMemoryBehaviour:
     def test_chunking_caps_intermediates(self):
         config = PrismConfig(numerics=False)
         engine = make_engine(config)
-        engine.rerank(make_batch(num_candidates=60)[1], 10)
+        engine.start(make_batch(num_candidates=60)[1], 10).run()
         stats = engine.device.memory.stats()
         inter_peak = stats.peak_by_category.get("intermediate", 0)
         assert inter_peak <= config.chunk_memory_budget
@@ -185,18 +195,18 @@ class TestMemoryBehaviour:
     def test_monolithic_batch_inflates_intermediates_without_chunking(self):
         config = PrismConfig(chunked_execution=False, numerics=False)
         engine = make_engine(config)
-        engine.rerank(make_batch(num_candidates=60)[1], 10)
+        engine.start(make_batch(num_candidates=60)[1], 10).run()
         inter_peak = engine.device.memory.stats().peak_by_category.get("intermediate", 0)
         assert inter_peak > PrismConfig().chunk_memory_budget
 
     def test_memory_returns_to_baseline_after_request(self):
         engine = make_engine(PrismConfig(numerics=False))
         before = engine.device.memory.in_use
-        engine.rerank(make_batch()[1], 10)
+        engine.start(make_batch()[1], 10).run()
         assert engine.device.memory.in_use == before
 
     def test_chunk_size_reported(self):
-        result = make_engine(PrismConfig(numerics=False)).rerank(make_batch()[1], 10)
+        result = make_engine(PrismConfig(numerics=False)).start(make_batch()[1], 10).run()
         assert result.chunk_size is not None and result.chunk_size >= 1
 
 
@@ -204,7 +214,7 @@ class TestHiddenOffload:
     def test_forced_offload_bounds_hidden_memory(self):
         config = PrismConfig(hidden_offload="on", numerics=False)
         engine = make_engine(config)
-        result = engine.rerank(make_batch(num_candidates=60)[1], 10)
+        result = engine.start(make_batch(num_candidates=60)[1], 10).run()
         hidden_peak = engine.device.memory.stats().peak_by_category.get("hidden", 0)
         from repro.model import costs
 
@@ -213,8 +223,8 @@ class TestHiddenOffload:
 
     def test_offload_matches_in_memory_selection(self):
         _, batch = make_batch(num_candidates=40)
-        on = make_engine(PrismConfig(hidden_offload="on", numerics=False)).rerank(batch, 10)
-        off = make_engine(PrismConfig(hidden_offload="off", numerics=False)).rerank(batch, 10)
+        on = make_engine(PrismConfig(hidden_offload="on", numerics=False)).start(batch, 10).run()
+        off = make_engine(PrismConfig(hidden_offload="off", numerics=False)).start(batch, 10).run()
         assert set(on.top_indices.tolist()) == set(off.top_indices.tolist())
 
 
@@ -223,7 +233,7 @@ class TestNumericsParity:
         """The numpy tensor path must select the same top-K as the
         fast semantic path — identical scores by construction."""
         _, batch = make_batch(num_candidates=8)
-        fast = make_engine(PrismConfig(numerics=False)).rerank(batch, 4)
-        slow = make_engine(PrismConfig(numerics=True)).rerank(batch, 4)
+        fast = make_engine(PrismConfig(numerics=False)).start(batch, 4).run()
+        slow = make_engine(PrismConfig(numerics=True)).start(batch, 4).run()
         assert set(fast.top_indices.tolist()) == set(slow.top_indices.tolist())
         assert fast.latency_seconds == pytest.approx(slow.latency_seconds)

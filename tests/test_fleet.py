@@ -78,15 +78,15 @@ class TestConfigValidation:
 class TestAdmission:
     def test_arrival_before_fleet_time_rejected(self, batches):
         fleet = make_fleet(1)
-        fleet.submit(batches[0], 10)
+        fleet.submit_request(batches[0], 10)
         fleet.drain()
         assert fleet.clock.now > 0
         with pytest.raises(ValueError):
-            fleet.submit(batches[0], 10, at=0.0)
+            fleet.submit_request(batches[0], 10, at=0.0)
 
     def test_drain_serves_everything(self, batches):
         fleet = make_fleet(2)
-        ids = [fleet.submit(batch, 10) for batch in batches]
+        ids = [fleet.submit_request(batch, 10) for batch in batches]
         outcomes = fleet.drain()
         assert sorted(o.request_id for o in outcomes) == ids
         assert fleet.pending_requests == 0
@@ -94,7 +94,7 @@ class TestAdmission:
     def test_drain_completion_ordered(self, batches):
         fleet = make_fleet(2)
         for batch in batches:
-            fleet.submit(batch, 10)
+            fleet.submit_request(batch, 10)
         outcomes = fleet.drain()
         finishes = [o.finish for o in outcomes]
         assert finishes == sorted(finishes)
@@ -102,7 +102,7 @@ class TestAdmission:
     def test_fleet_clock_reaches_last_completion(self, batches):
         fleet = make_fleet(2)
         for batch in batches:
-            fleet.submit(batch, 10)
+            fleet.submit_request(batch, 10)
         outcomes = fleet.drain()
         assert fleet.clock.now == pytest.approx(max(o.finish for o in outcomes))
 
@@ -111,7 +111,7 @@ class TestBatching:
     def test_max_batch_respected(self, batches):
         fleet = make_fleet(1, max_batch=2, max_wait_ms=0.0)
         for batch in batches:
-            fleet.submit(batch, 10)
+            fleet.submit_request(batch, 10)
         outcomes = fleet.drain()
         # Dispatch groups share a start instant; none exceeds max_batch.
         starts = {}
@@ -123,8 +123,8 @@ class TestBatching:
         # One request now, the next arriving after the wait bound: the
         # first must flush at its deadline, not when the second arrives.
         fleet = make_fleet(1, max_batch=4, max_wait_ms=50.0)
-        fleet.submit(batches[0], 10, at=0.0)
-        fleet.submit(batches[1], 10, at=10.0)
+        fleet.submit_request(batches[0], 10, at=0.0)
+        fleet.submit_request(batches[1], 10, at=10.0)
         outcomes = sorted(fleet.drain(), key=lambda o: o.request_id)
         assert outcomes[0].start == pytest.approx(0.050)
 
@@ -132,7 +132,7 @@ class TestBatching:
         # With no future arrival, waiting out max_wait cannot grow the
         # batch — the dispatcher flushes at once.
         fleet = make_fleet(1, max_batch=4, max_wait_ms=1000.0)
-        fleet.submit(batches[0], 10, at=0.0)
+        fleet.submit_request(batches[0], 10, at=0.0)
         (outcome,) = fleet.drain()
         assert outcome.start == pytest.approx(0.0)
         assert outcome.queue_wait == pytest.approx(0.0)
@@ -140,7 +140,7 @@ class TestBatching:
     def test_full_batch_flushes_before_deadline(self, batches):
         fleet = make_fleet(1, max_batch=2, max_wait_ms=1000.0)
         for batch in batches[:2]:
-            fleet.submit(batch, 10, at=0.0)
+            fleet.submit_request(batch, 10, at=0.0)
         outcomes = fleet.drain()
         assert all(o.start == pytest.approx(0.0) for o in outcomes)
 
@@ -148,7 +148,7 @@ class TestBatching:
         cheap = make_fleet(1, dispatch_overhead_ms=0.0)
         costly = make_fleet(1, dispatch_overhead_ms=100.0)
         for fleet in (cheap, costly):
-            fleet.submit(batches[0], 10)
+            fleet.submit_request(batches[0], 10)
         fast = cheap.drain()[0]
         slow = costly.drain()[0]
         assert slow.latency == pytest.approx(fast.latency + 0.100)
@@ -158,14 +158,14 @@ class TestRouting:
     def test_round_robin_cycles(self, batches):
         fleet = make_fleet(3, routing="round_robin", max_batch=1, max_wait_ms=0.0)
         for batch in batches:
-            fleet.submit(batch, 10)
+            fleet.submit_request(batch, 10)
         outcomes = sorted(fleet.drain(), key=lambda o: o.request_id)
         assert [o.replica for o in outcomes] == [0, 1, 2, 0, 1, 2]
 
     def test_least_loaded_prefers_idle_replica(self, batches):
         fleet = make_fleet(2, routing="least_loaded", max_batch=1, max_wait_ms=0.0)
         for batch in batches[:2]:
-            fleet.submit(batch, 10)
+            fleet.submit_request(batch, 10)
         outcomes = sorted(fleet.drain(), key=lambda o: o.request_id)
         # Both arrive in the same burst; the second must not pile onto
         # the replica that already holds the first.
@@ -183,7 +183,7 @@ class TestRouting:
             config=PrismConfig(numerics=False),
         )
         for batch in batches + batches:  # 12 requests
-            fleet.submit(batch, 10)
+            fleet.submit_request(batch, 10)
         fleet.drain()
         fast, slow = fleet.replicas
         assert fast.requests_served > slow.requests_served
@@ -198,7 +198,7 @@ class TestDeterminism:
         for num_replicas in (1, 3):
             fleet = make_fleet(num_replicas)
             for batch in batches:
-                fleet.submit(batch, 10)
+                fleet.submit_request(batch, 10)
             outcomes = sorted(fleet.drain(), key=lambda o: o.request_id)
             per_size[num_replicas] = [o.result.top_indices.tolist() for o in outcomes]
         assert per_size[1] == per_size[3]
@@ -208,7 +208,7 @@ class TestSampling:
     def test_fleet_wide_stride(self, batches):
         fleet = make_fleet(2, sample_rate=0.5)
         for batch in batches:
-            fleet.submit(batch, 10)
+            fleet.submit_request(batch, 10)
         fleet.drain()
         sampled = sum(r.service.stats.requests_sampled for r in fleet.replicas)
         assert sampled == 3  # 6 requests x 0.5, regardless of routing
@@ -222,7 +222,7 @@ class TestMaintenance:
     def test_consensus_propagates_to_all_replicas(self, batches):
         fleet = make_fleet(3, sample_rate=1.0, precision_target=0.8, step=0.05)
         for batch in batches:
-            fleet.submit(batch, 10)
+            fleet.submit_request(batch, 10)
         fleet.drain()
         report = fleet.idle_maintenance()
         assert report is not None
@@ -235,7 +235,7 @@ class TestMaintenance:
     def test_maintenance_leaves_serving_clocks_untouched(self, batches):
         fleet = make_fleet(2, sample_rate=1.0)
         for batch in batches:
-            fleet.submit(batch, 10)
+            fleet.submit_request(batch, 10)
         fleet.drain()
         before = [r.service.device.clock.now for r in fleet.replicas]
         fleet.idle_maintenance()
@@ -246,7 +246,7 @@ class TestStats:
     def test_percentiles_ordered(self, batches):
         fleet = make_fleet(2)
         for batch in batches:
-            fleet.submit(batch, 10)
+            fleet.submit_request(batch, 10)
         fleet.drain()
         stats = fleet.stats()
         assert stats.p50_latency <= stats.p95_latency <= stats.p99_latency
@@ -256,7 +256,7 @@ class TestStats:
     def test_utilisation_bounds(self, batches):
         fleet = make_fleet(2)
         for batch in batches:
-            fleet.submit(batch, 10)
+            fleet.submit_request(batch, 10)
         fleet.drain()
         stats = fleet.stats()
         assert set(stats.utilisation) == {0, 1}
@@ -292,8 +292,8 @@ class TestIntraReplicaConcurrency:
         serial = make_fleet(2, max_batch=3)
         concurrent = make_fleet(2, max_batch=3, intra_concurrency=3)
         for batch in batches:
-            serial.submit(batch, 10)
-            concurrent.submit(batch, 10)
+            serial.submit_request(batch, 10)
+            concurrent.submit_request(batch, 10)
         serial_out = {o.request_id: o for o in serial.drain()}
         concurrent_out = {o.request_id: o for o in concurrent.drain()}
         assert set(serial_out) == set(concurrent_out)
@@ -316,8 +316,8 @@ class TestIntraReplicaConcurrency:
             shared_weight_plane=True,
         )
         for batch in batches:
-            serial.submit(batch, 10)
-            fused.submit(batch, 10)
+            serial.submit_request(batch, 10)
+            fused.submit_request(batch, 10)
         serial_out = {o.request_id: o for o in serial.drain()}
         fused_out = {o.request_id: o for o in fused.drain()}
         for request_id, outcome in serial_out.items():
@@ -334,8 +334,8 @@ class TestIntraReplicaConcurrency:
         serial = make_fleet(2, max_batch=3, sample_rate=0.5)
         concurrent = make_fleet(2, max_batch=3, intra_concurrency=3, sample_rate=0.5)
         for batch in batches:
-            serial.submit(batch, 10)
-            concurrent.submit(batch, 10)
+            serial.submit_request(batch, 10)
+            concurrent.submit_request(batch, 10)
         serial.drain()
         concurrent.drain()
         def pending(fleet):

@@ -215,6 +215,6 @@ class TestThresholdCalibrationEndToEnd:
             device = get_profile("nvidia_5070").create()
             engine = PrismEngine(shared_model(QWEN3_0_6B), device, config)
             engine.prepare()
-            selected = engine.rerank(batch, 10).top_indices
+            selected = engine.start(batch, 10).run().top_indices
             overlaps.append(top_k_overlap(selected, truth, 10))
         assert float(np.mean(overlaps)) >= 0.7

@@ -265,7 +265,7 @@ class TestFleetIntegration:
         # completed must render "-", not crash (the PR 6/8 convention).
         quiet = stats.tenants["quiet"]
         assert quiet.p50_latency is not None
-        ghost = fleet._admission.state("ghost")  # registered, no traffic
+        fleet._admission.state("ghost")  # registered, no traffic
         stats = fleet.stats()
         assert stats.tenants["ghost"].p50_latency is None
         assert stats.tenants["ghost"].p99_latency is None
@@ -297,14 +297,16 @@ class TestRequestApiThreading:
         assert by_id["a"].tenant == "acme"
         assert by_id["b"].tenant is None
 
-    def test_metadata_tenant_shim_warns_and_promotes(self, batches):
+    def test_metadata_tenant_is_an_opaque_annotation(self, batches):
+        import warnings
+
         from repro.core.api import SelectionRequest
 
-        with pytest.warns(DeprecationWarning, match="metadata"):
-            request = SelectionRequest(
-                batch=batches[0], k=2, metadata={"tenant": "legacy"}
-            )
-        assert request.tenant == "legacy"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            request = SelectionRequest(batch=batches[0], k=2, metadata={"tenant": "x"})
+        assert request.tenant is None
+        assert request.metadata == {"tenant": "x"}
 
     def test_explicit_tenant_wins_over_metadata(self, batches):
         import warnings

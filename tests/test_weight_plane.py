@@ -112,8 +112,8 @@ class TestSoloBitIdentity:
 
     def test_solo_rerank_identical(self):
         batch = make_batch()
-        private = make_engine(shared_plane=False).rerank(batch, 5)
-        shared = make_engine(shared_plane=True).rerank(batch, 5)
+        private = make_engine(shared_plane=False).start(batch, 5).run()
+        shared = make_engine(shared_plane=True).start(batch, 5).run()
         assert np.array_equal(private.top_indices, shared.top_indices)
         assert np.array_equal(private.top_scores, shared.top_scores)
         assert private.latency_seconds == shared.latency_seconds
@@ -127,14 +127,14 @@ class TestSoloBitIdentity:
         engine_shared = make_engine(shared_plane=True)
         for idx in range(3):
             batch = make_batch(query_idx=idx)
-            a = engine_private.rerank(batch, 4)
-            b = engine_shared.rerank(batch, 4)
+            a = engine_private.start(batch, 4).run()
+            b = engine_shared.start(batch, 4).run()
             assert np.array_equal(a.top_indices, b.top_indices)
             assert a.latency_seconds == b.latency_seconds
 
     def test_solo_plane_accounting_shows_no_sharing(self):
         engine = make_engine(shared_plane=True)
-        engine.rerank(make_batch(), 5)
+        engine.start(make_batch(), 5).run()
         assert engine.weight_plane.stats.attaches == 0
         assert engine.weight_plane.stats.saved_bytes == 0
         assert engine.weight_plane.stats.fetches > 0
@@ -145,7 +145,7 @@ class TestSharing:
         engine = make_engine(shared_plane=True)
         scheduler = DeviceScheduler(engine, SchedulerConfig(policy="fusion", max_concurrency=4))
         for idx in range(4):
-            scheduler.submit(make_batch(query_idx=idx), 4)
+            scheduler.submit_request(make_batch(query_idx=idx), 4)
         scheduler.drain()
         fetches = engine.weight_plane.stats.per_layer_fetches
         assert fetches, "the wave must have streamed layers"
@@ -161,7 +161,7 @@ class TestSharing:
                 SchedulerConfig(policy="fusion" if shared else "round_robin", max_concurrency=4),
             )
             for idx in range(4):
-                scheduler.submit(make_batch(query_idx=idx), 4)
+                scheduler.submit_request(make_batch(query_idx=idx), 4)
             scheduler.drain()
             return sum(
                 r.nbytes
@@ -173,11 +173,11 @@ class TestSharing:
 
     def test_selections_match_solo_under_fusion(self):
         batches = [make_batch(query_idx=i) for i in range(3)]
-        solo = [make_engine(shared_plane=False).rerank(b, 4) for b in batches]
+        solo = [make_engine(shared_plane=False).start(b, 4).run() for b in batches]
         engine = make_engine(shared_plane=True)
         scheduler = DeviceScheduler(engine, SchedulerConfig(policy="fusion", max_concurrency=3))
         for batch in batches:
-            scheduler.submit(batch, 4)
+            scheduler.submit_request(batch, 4)
         outcomes = {o.request_id: o for o in scheduler.drain()}
         for index, reference in enumerate(solo):
             assert np.array_equal(outcomes[index].result.top_indices, reference.top_indices)
@@ -192,7 +192,7 @@ class TestDeterministicFusedTraces:
             scheduler = DeviceScheduler(engine, config)
             now = engine.device.clock.now
             for idx in range(4):
-                scheduler.submit(make_batch(query_idx=idx), 4, at=now + idx * 0.01)
+                scheduler.submit_request(make_batch(query_idx=idx), 4, arrival=now + idx * 0.01)
             scheduler.drain()
             return scheduler
 
@@ -230,7 +230,7 @@ class TestFailureReleasesRefcounts:
         assert engine.device.memory.in_use_by_category("weights") == classifier_bytes
         # A fresh solo request on the same engine completes normally.
         monkeypatch.setattr(engine.model, "forward_layer", original)
-        result = engine.rerank(make_batch(query_idx=1), 4)
+        result = engine.start(make_batch(query_idx=1), 4).run()
         assert result.top_indices.size == 4
 
     def test_abandoned_never_stepped_task_releases_plane(self):
@@ -241,7 +241,7 @@ class TestFailureReleasesRefcounts:
         abandoned = engine.start(make_batch(), 5)
         abandoned.close()
         assert engine.weight_plane.open_passes == 0
-        engine.rerank(make_batch(query_idx=1), 4)
+        engine.start(make_batch(query_idx=1), 4).run()
         assert engine.weight_plane.resident_layers == set()
         abandoned.close()  # idempotent
 
@@ -251,7 +251,7 @@ class TestFailureReleasesRefcounts:
         engine = make_engine(shared_plane=True)
         scheduler = DeviceScheduler(engine, SchedulerConfig(policy="fusion", max_concurrency=4))
         for idx in range(4):
-            scheduler.submit(make_batch(query_idx=idx), 4)
+            scheduler.submit_request(make_batch(query_idx=idx), 4)
 
         def failing_forward(state, layer, **kwargs):
             raise RuntimeError("first gang member dies")
@@ -267,7 +267,7 @@ class TestFailureReleasesRefcounts:
         peer attached to the same buffers."""
         engine = make_engine(shared_plane=True)
         batches = [make_batch(query_idx=0), make_batch(query_idx=1)]
-        reference = make_engine(shared_plane=False).rerank(batches[1], 4)
+        reference = make_engine(shared_plane=False).start(batches[1], 4).run()
 
         victim = engine.start(batches[0], 4)
         survivor = engine.start(batches[1], 4)
