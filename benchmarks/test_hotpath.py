@@ -14,8 +14,16 @@ runs against (see ``docs/performance.md``).
 Wall-clock is machine-dependent, so the artifact's absolute numbers are
 only comparable within one run; the gate therefore normalises every
 scenario by the same run's ``solo`` anchor before comparing runs.
+
+The batched-kernel speedup is estimated from *paired* rounds: each
+round times the sequential and the batched gang of one size back to
+back, so both see the same machine load, and the bench reports the
+median of the per-round ratios.  A ratio of per-scenario minima pairs
+two samples taken minutes apart, and one lucky sequential minimum or
+one unlucky batched one moves it.
 """
 
+import statistics
 import time
 
 from conftest import BENCH_QUICK, run_once
@@ -33,8 +41,9 @@ from repro.model.zoo import QWEN3_0_6B
 
 #: Candidates per gang member.
 NUM_CANDIDATES = 8
-#: Timed repeats per scenario; the best (minimum) repeat is recorded —
-#: the standard microbench estimator, robust to co-tenant load spikes.
+#: Timed rounds; each round times every scenario once.  The best
+#: (minimum) wall per scenario is recorded; speedups are the median of
+#: the rounds' paired sequential/batched ratios.
 REPEATS = 3 if BENCH_QUICK else 7
 #: (scenario name, gang size, batched kernels?)
 SCENARIOS = (
@@ -78,24 +87,37 @@ def _wall_time_per_step(gang_size: int, gang_kernels: bool) -> float:
     return wall / len(scheduler.trace)
 
 
-def _measure_all() -> dict[str, float]:
-    """Best-of-REPEATS per scenario, measured round-robin.
+def _measure_all() -> dict[str, list[float]]:
+    """REPEATS rounds of every scenario, measured round-robin.
 
-    Interleaving the scenarios across repeats (A B C, A B C, ...)
-    decorrelates slow machine-load drift from the scenario axis; taking
-    each scenario's minimum discards load spikes entirely.
+    Interleaving the scenarios across rounds (A B C, A B C, ...)
+    decorrelates slow machine-load drift from the scenario axis, and
+    :data:`SCENARIOS` lists each gang size's sequential and batched
+    runs next to each other, so one round's pair is timed back to back.
+    Returns each scenario's per-round samples, in round order.
     """
     samples: dict[str, list[float]] = {name: [] for name, _, _ in SCENARIOS}
     for _ in range(REPEATS):
         for name, size, batched in SCENARIOS:
             samples[name].append(_wall_time_per_step(size, batched))
-    return {name: min(times) for name, times in samples.items()}
+    return samples
+
+
+def _paired_speedup(samples: dict[str, list[float]], size: int) -> float:
+    """Median over rounds of sequential / batched wall at one gang size."""
+    return statistics.median(
+        sequential / batched
+        for sequential, batched in zip(
+            samples[f"sequential_gang_n{size}"], samples[f"batched_gang_n{size}"]
+        )
+    )
 
 
 def test_batched_gang_kernels_cut_wall_clock(benchmark, record_artifact, record_metrics):
-    wall = run_once(benchmark, _measure_all)
-    speedup_n4 = wall["sequential_gang_n4"] / wall["batched_gang_n4"]
-    speedup_n8 = wall["sequential_gang_n8"] / wall["batched_gang_n8"]
+    samples = run_once(benchmark, _measure_all)
+    wall = {name: min(times) for name, times in samples.items()}
+    speedup_n4 = _paired_speedup(samples, 4)
+    speedup_n8 = _paired_speedup(samples, 8)
     speedup = {
         "solo": 1.0,
         "sequential_gang_n4": 1.0,
@@ -120,7 +142,7 @@ def test_batched_gang_kernels_cut_wall_clock(benchmark, record_artifact, record_
             title=(
                 "Hot-path microbench: harness wall-clock per simulated layer step "
                 f"(qwen3-0.6b, nvidia_5070, {NUM_CANDIDATES} candidates/member, "
-                f"best of {REPEATS})"
+                f"best of {REPEATS}; speedup: median of {REPEATS} paired rounds)"
             ),
         ),
     )
@@ -141,10 +163,10 @@ def test_batched_gang_kernels_cut_wall_clock(benchmark, record_artifact, record_
         },
     )
 
-    # Acceptance bar (ISSUE): one fused forward per layer crossing cuts
-    # wall-clock per simulated step by >= 2x for an N=8 gang.  The
-    # committed full-mode artifact shows the 2x; the in-suite bar is
-    # slightly conservative because this also runs on loaded CI workers.
+    # Acceptance bar: one fused forward per layer crossing cuts
+    # wall-clock per simulated step by >= 2x for an N=8 gang, on the
+    # median paired ratio.  The quick-mode bar is lower because smoke
+    # runs take 3 rounds on loaded CI workers.
     assert speedup_n8 >= (1.5 if BENCH_QUICK else 2.0), (
         f"batched N=8 gang speedup {speedup_n8:.2f}x below bar "
         f"(per-step wall: {wall})"

@@ -90,10 +90,10 @@ class SelectionRequest:
         (``True`` forces logging, ``False`` suppresses it, ``None``
         applies the deterministic stride).
     hedge_after_ms:
-        Fleet tier, serial replicas: if the request has not completed
-        this many milliseconds after arrival, duplicate it onto a
-        second healthy replica — first result wins, the loser is
-        cancelled at its next layer boundary (DESIGN.md §9).
+        Fleet tier: if the request has not completed this many
+        milliseconds after arrival, duplicate it onto a second healthy
+        replica — first result wins, the loser is cancelled at its
+        next layer boundary (DESIGN.md §9).
     memoize:
         Data-plane opt-out (DESIGN.md §12): ``False`` bypasses the
         request memo/coalescing cache entirely and forces a full pass;
@@ -528,8 +528,8 @@ class FleetServer(ServerBase):
     Wraps a :class:`~repro.core.fleet.FleetService`; provenance names
     the replica that served each request, and the fleet's routing
     policy.  Deadlines shed at dispatch; cancellation drops pending
-    requests and closes mid-pass tasks on replicas serving with
-    ``intra_concurrency > 1``.
+    requests and closes mid-pass tasks at their next layer boundary,
+    whatever the replicas' ``intra_concurrency``.
     """
 
     tier = "fleet"

@@ -88,20 +88,23 @@ class FleetConfig:
         estimate (higher = adapts faster).
     intra_concurrency:
         In-flight request cap *inside* each replica (DESIGN.md §6).
-        ``1`` keeps replicas serial (a dispatched batch executes
-        request-by-request); above 1, a dispatched batch is served
-        through the replica's :class:`~repro.core.scheduler.DeviceScheduler`,
-        multiplexing its requests at layer boundaries — replica-level
-        routing composed with intra-replica concurrency.
+        Every dispatched batch is served as one wave of the replica's
+        :class:`~repro.core.scheduler.DeviceScheduler`; ``1`` makes it
+        a one-slot scheduler that runs the batch strictly serially,
+        request by request, and above 1 the batch's requests multiplex
+        at layer boundaries — replica-level routing composed with
+        intra-replica concurrency.  Hedging and fault failover behave
+        the same on either setting: a fault fails over only the
+        requests it killed (DESIGN.md §9).
     intra_policy:
-        Scheduling policy of the intra-replica scheduler (only used
-        when ``intra_concurrency > 1``); ``fusion`` gang-schedules a
-        dispatched batch layer by layer.
+        Scheduling policy of the intra-replica scheduler; with one
+        slot every policy serves the batch in order.  ``fusion``
+        gang-schedules a dispatched batch layer by layer.
     shared_weight_plane:
         Serve every replica from a refcounted shared weight plane
         (DESIGN.md §7): the requests of a dispatched batch read each
         layer from the replica's SSD once instead of once per request.
-        Meaningful with ``intra_concurrency > 1``.
+        Only pays off with ``intra_concurrency > 1``.
     max_skew:
         Group-join bound of the ``fusion`` intra-replica policy
         (seconds); see :class:`~repro.core.scheduler.SchedulerConfig`.
@@ -983,17 +986,13 @@ class FleetService:
     ) -> tuple[list[RequestOutcome], list[FleetRequest]]:
         """Hand one batch to a replica; returns (outcomes, failover retries).
 
-        With ``intra_concurrency == 1`` the batch executes serially,
-        request by request.  Above 1, the whole batch enters the
-        replica's :class:`~repro.core.scheduler.DeviceScheduler` and
-        its requests multiplex at layer boundaries (DESIGN.md §6);
-        selections stay byte-identical either way, only completion
-        times move.
-
-        A :class:`~repro.device.faults.DeviceFault` during the batch
-        (DESIGN.md §9) marks the replica's health and turns the failed
-        request — plus, serially, the rest of the batch behind it —
-        into retries the drain loop requeues onto healthy replicas.
+        The whole batch enters the replica's
+        :class:`~repro.core.scheduler.DeviceScheduler` as one wave
+        (:meth:`_serve_batch`) capped at ``intra_concurrency``
+        in-flight requests (DESIGN.md §6): ``1`` serves it strictly
+        serially, in batch order; above 1 its requests multiplex at
+        layer boundaries.  Selections stay byte-identical either way,
+        only completion times move.
         """
         cfg = self.fleet_config
         replica = self._routing.choose(pool, now, len(requests))
@@ -1011,96 +1010,8 @@ class FleetService:
                 attempts=request.attempts,
             )
         replica.sync_to(start)
-        clock = replica.service.device.clock
-        clock.advance(cfg.dispatch_overhead_ms * 1e-3)
-        outcomes: list[RequestOutcome] = []
-        retries: list[FleetRequest] = []
-        if cfg.intra_concurrency > 1:
-            outcomes, retries = self._dispatch_concurrent(requests, replica, start)
-        else:
-            for index, request in enumerate(requests):
-                local_now = replica.local_now
-                if self._drop_due(request, local_now):
-                    continue
-                plan = self._overlap_plans.pop(request.request_id, None)
-                try:
-                    if plan is not None:
-                        # Partial-overlap leader (DESIGN.md §12): the
-                        # replica executes only the residue rows; the
-                        # exact full-batch selection is recovered by a
-                        # zero-cost shadow replay.
-                        result = self._serve_overlap(replica, request, plan)
-                    else:
-                        result = replica.service._serve_solo(
-                            request.batch,
-                            request.k,
-                            sample=self._request_sample(request),
-                            cancel_at=(
-                                request.cancel_at + replica.origin
-                                if request.cancel_at is not None
-                                else None
-                            ),
-                        )
-                except DeviceFault as fault:
-                    at = replica.local_now
-                    self._record_failure(replica, at)
-                    # The faulted leader must never poison the memo:
-                    # its pending entry dies with it, and its followers
-                    # re-dispatch (DESIGN.md §12).
-                    self._plane_invalidate(requests[index], at, fault.kind)
-                    # The faulted request and everything still queued
-                    # behind it on this replica fail over together.
-                    retries.extend(
-                        self._requeue(requests[index:], replica, at, fault)
-                    )
-                    break
-                if result is None:  # cancelled mid-pass on the replica
-                    self._drop(request, "cancelled", replica.local_now)
-                    continue
-                finish = replica.local_now
-                outcome = RequestOutcome(
-                    request_id=request.request_id,
-                    replica=replica.index,
-                    arrival=request.arrival,
-                    start=start,
-                    finish=finish,
-                    result=result,
-                    client_id=request.client_id,
-                    lane=request.priority,
-                    deadline=request.deadline,
-                    service_start=local_now,
-                    service_seconds=finish - local_now,
-                    attempts=request.attempts,
-                    failed_over_from=request.failed_over_from,
-                    tenant=request.tenant,
-                )
-                outcomes.append(outcome)
-                self._update_ewma(replica, len(outcomes), result.latency_seconds)
-                # The health probe uses the replica-observed service
-                # span (finish − service start): it includes injected
-                # stalls, which the engine's own latency accounting —
-                # started inside the first step — does not see.
-                self._record_success(
-                    replica, finish - local_now, result.layers_executed + 1
-                )
-                if plan is None:
-                    # An overlap leader already served a reduced pass;
-                    # racing a full-pass duplicate would undo the win.
-                    self._maybe_hedge(request, outcome, replica, pool)
-                # After hedging: a winning duplicate already rewrote the
-                # outcome, so the event carries the final provenance.
-                self._emit(
-                    "complete",
-                    at=outcome.finish,
-                    request=request,
-                    replica=outcome.replica,
-                    latency=outcome.latency,
-                    attempts=outcome.attempts,
-                    hedged=outcome.hedged,
-                )
-                # Memoize after hedging so the memo holds the final
-                # result; followers resolve against it (DESIGN.md §12).
-                outcomes.extend(self._plane_complete(request, outcome, replica))
+        replica.service.device.clock.advance(cfg.dispatch_overhead_ms * 1e-3)
+        outcomes, retries = self._serve_batch(requests, replica, start, pool)
         replica.busy_until = replica.local_now
         replica.busy_seconds += replica.busy_until - start
         # Hedge-won outcomes already counted for the winning backup.
@@ -1111,17 +1022,24 @@ class FleetService:
         self._check_latency_health(replica, replica.busy_until)
         return outcomes, retries
 
-    def _dispatch_concurrent(
-        self, requests: list[FleetRequest], replica: ReplicaHandle, start: float
+    def _serve_batch(
+        self,
+        requests: list[FleetRequest],
+        replica: ReplicaHandle,
+        start: float,
+        pool: list[ReplicaHandle],
     ) -> tuple[list[RequestOutcome], list[FleetRequest]]:
-        """Serve one dispatched batch through the replica's scheduler.
+        """Serve one dispatched batch as a wave of the replica's scheduler.
 
         Fleet-clock intent (deadlines, cancellations) is rebased onto
-        the replica's wave origin as relative offsets; requests whose
-        deadline already passed are shed here, before the wave, so the
-        scheduler never sees an expired deadline.  Requests the
-        scheduler failed on a device fault (DESIGN.md §9) come back as
-        failover retries rather than drops.
+        the wave origin as relative offsets; requests whose deadline
+        already passed are shed here, before the wave, so the
+        scheduler never sees an expired deadline.  Completed requests
+        may be hedged on another replica of ``pool``.  A
+        :class:`~repro.device.faults.DeviceFault` during the wave
+        (DESIGN.md §9) fails its victim — a crash fails everything the
+        replica still held — and the victims come back as failover
+        retries the drain loop requeues onto healthy replicas.
         """
         from .api import SelectionRequest
 
@@ -1149,7 +1067,7 @@ class FleetService:
             cancel = (
                 request.cancel_at - origin_fleet if request.cancel_at is not None else None
             )
-            shared, residue = plan if plan is not None else (None, None)
+            residue = plan[1] if plan is not None else None
             wave_inputs.append(
                 (
                     request,
@@ -1179,6 +1097,7 @@ class FleetService:
                             if residue is not None
                             else self._request_sample(request)
                         ),
+                        tenant=request.tenant,
                     ),
                     max(0.0, cancel) if cancel is not None else None,
                 )
@@ -1195,64 +1114,74 @@ class FleetService:
             scheduler_id: request
             for scheduler_id, (request, _, _) in zip(wave.request_ids, wave_inputs)
         }
-        for scheduled_outcome in wave.outcomes:
-            request = by_scheduler_id[scheduled_outcome.request_id]
+        for scheduled in wave.outcomes:
+            request = by_scheduler_id[scheduled.request_id]
             plan = plans.get(request.request_id)
-            if plan is not None:
-                # The scheduler served only the residue rows; recover
-                # the exact full-batch selection by shadow replay and
-                # credit the skipped rows to the plane (DESIGN.md §12).
-                result = self._finish_overlap(
-                    replica,
-                    request,
-                    plan,
-                    residue_result=scheduled_outcome.result,
-                    residue_seconds=scheduled_outcome.service_seconds,
-                )
-            else:
-                result = scheduled_outcome.result
-            self._emit(
-                "complete",
-                at=scheduled_outcome.finish - replica.origin,
-                request=request,
-                replica=replica.index,
-                latency=(scheduled_outcome.finish - replica.origin) - request.arrival,
-                attempts=request.attempts,
-                hedged=False,
-            )
             outcome = RequestOutcome(
                 request_id=request.request_id,
                 replica=replica.index,
                 arrival=request.arrival,
                 start=start,
-                finish=scheduled_outcome.finish - replica.origin,
-                result=result,
+                finish=scheduled.finish - replica.origin,
+                # An overlap leader's wave served only the residue
+                # rows; the exact full-batch selection comes from a
+                # shadow replay (DESIGN.md §12).
+                result=(
+                    self._replay_overlap(
+                        replica.service,
+                        request,
+                        *plan,
+                        scheduled.service_seconds,
+                        replica.service._weight_bytes(scheduled.result),
+                    )
+                    if plan is not None
+                    else scheduled.result
+                ),
                 client_id=request.client_id,
                 lane=request.priority,
                 deadline=request.deadline,
-                service_start=scheduled_outcome.start - replica.origin,
-                service_seconds=scheduled_outcome.service_seconds,
+                service_start=scheduled.start - replica.origin,
+                service_seconds=scheduled.service_seconds,
                 attempts=request.attempts,
                 failed_over_from=request.failed_over_from,
                 tenant=request.tenant,
             )
             outcomes.append(outcome)
-            # Under multiplexing, result.latency_seconds spans other
-            # requests' interleaved steps; the scheduler's service
-            # time is the true per-request cost EWMA must learn.
-            self._update_ewma(replica, len(outcomes), scheduled_outcome.service_seconds)
+            # EWMA and the health probe learn the scheduler's service
+            # time: under multiplexing result.latency_seconds spans
+            # other requests' interleaved steps, and it misses injected
+            # stalls, which the scheduler's step timing includes.
+            self._update_ewma(replica, len(outcomes), scheduled.service_seconds)
             self._record_success(
-                replica,
-                scheduled_outcome.service_seconds,
-                scheduled_outcome.result.layers_executed + 1,
+                replica, scheduled.service_seconds, scheduled.result.layers_executed + 1
             )
+            if plan is None:
+                # An overlap leader already served a reduced pass
+                # (DESIGN.md §12); racing a full-pass duplicate would
+                # undo the win.
+                self._maybe_hedge(request, outcome, replica, pool)
+            # After hedging: a winning duplicate already rewrote the
+            # outcome, so the event carries the final provenance.
+            self._emit(
+                "complete",
+                at=outcome.finish,
+                request=request,
+                replica=outcome.replica,
+                latency=outcome.latency,
+                attempts=outcome.attempts,
+                hedged=outcome.hedged,
+            )
+            # Memoize after hedging so the memo holds the final
+            # result; followers resolve against it (DESIGN.md §12).
             outcomes.extend(self._plane_complete(request, outcome, replica))
-        retries: list[FleetRequest] = []
         failed: list[tuple[FleetRequest, float, str]] = []
         for drop in wave.dropped:
             request = by_scheduler_id[drop.request_id]
             at = drop.at - replica.origin
             if drop.reason == "failed":
+                # A faulted plane leader must never poison the memo:
+                # its pending entry dies with it, and its followers
+                # re-dispatch (DESIGN.md §12).
                 self._plane_invalidate(request, at, drop.detail or "device_fault")
                 failed.append((request, at, drop.detail))
             else:
@@ -1263,13 +1192,13 @@ class FleetService:
             first_at = min(at for _, at, _ in failed)
             self._record_failure(replica, first_at)
             fault = DeviceFault(failed[0][2] or "device_fault", at=first_at)
-            retries = self._requeue(
+            return outcomes, self._requeue(
                 [request for request, _, _ in failed],
                 replica,
                 max(at for _, at, _ in failed),
                 fault,
             )
-        return outcomes, retries
+        return outcomes, []
 
     def _request_sample(self, request: FleetRequest) -> bool:
         return request.sample if request.sample is not None else self._admit_sample()
@@ -1488,67 +1417,6 @@ class FleetService:
         )
         self._plane_redispatch.extend(payload for payload, _ in followers)
 
-    def _serve_overlap(
-        self,
-        replica: ReplicaHandle,
-        request: FleetRequest,
-        plan: tuple[np.ndarray, np.ndarray],
-    ) -> RerankResult | None:
-        """Serial overlap leader: residue pass + exact shadow replay.
-
-        The replica's clock advances only for the residue rows — the
-        shared rows' scores are already determined (ScoreDynamics keys
-        them on (model_seed, uid, relevance, layer), independent of
-        batch composition), so the full-batch replay on a shadow
-        engine is zero-cost and byte-identical to a full serving pass.
-        """
-        shared, residue = plan
-        service = replica.service
-        if residue.size:
-            before = service.device.clock.now
-            partial = service._serve_solo(
-                request.batch.select(residue),
-                min(request.k, int(residue.size)),
-                sample=False,
-                cancel_at=(
-                    request.cancel_at + replica.origin
-                    if request.cancel_at is not None
-                    else None
-                ),
-            )
-            if partial is None:  # cancelled mid-residue
-                return None
-            residue_seconds = service.device.clock.now - before
-            residue_bytes = service._weight_bytes(partial)
-        else:
-            residue_seconds = 0.0
-            residue_bytes = 0
-        return self._replay_overlap(
-            service, request, shared, residue, residue_seconds, residue_bytes
-        )
-
-    def _finish_overlap(
-        self,
-        replica: ReplicaHandle,
-        request: FleetRequest,
-        plan: tuple[np.ndarray, np.ndarray],
-        *,
-        residue_result: RerankResult,
-        residue_seconds: float,
-    ) -> RerankResult:
-        """Concurrent overlap leader: swap the residue result for the
-        exact full-batch replay after its wave completed."""
-        shared, residue = plan
-        service = replica.service
-        return self._replay_overlap(
-            service,
-            request,
-            shared,
-            residue,
-            residue_seconds,
-            service._weight_bytes(residue_result),
-        )
-
     def _replay_overlap(
         self,
         service: SemanticSelectionService,
@@ -1558,6 +1426,15 @@ class FleetService:
         residue_seconds: float,
         residue_bytes: int,
     ) -> RerankResult:
+        """Overlap leader: the exact full-batch selection by shadow replay.
+
+        The replica's clock advanced only for the residue rows — the
+        shared rows' scores are already determined (ScoreDynamics keys
+        them on (model_seed, uid, relevance, layer), independent of
+        batch composition), so the full-batch replay on a shadow engine
+        is zero-cost and byte-identical to a full serving pass.  The
+        skipped rows are credited to the plane's savings.
+        """
         result = service.replay_selection(request.batch, request.k)
         if residue.size:
             saved_seconds = residue_seconds * (float(shared.size) / float(residue.size))
@@ -1690,16 +1567,17 @@ class FleetService:
         primary: ReplicaHandle,
         pool: list[ReplicaHandle],
     ) -> None:
-        """Straggler hedging (DESIGN.md §9), serial dispatch path.
+        """Straggler hedging (DESIGN.md §9), after the primary's wave.
 
         If the primary copy had not completed ``hedge_after_ms`` after
         the request's arrival, a duplicate is launched on the least
-        loaded *other* healthy replica at exactly that instant, racing
-        the primary with a cancellation scheduled at the primary's
-        finish.  First result wins: a faster duplicate replaces the
-        outcome's payload (provenance flips to the winning replica);
-        a slower one is cancelled mid-pass at its next layer boundary
-        through the ordinary cancel path, releasing its resources.
+        loaded *other* healthy replica at exactly that instant, as a
+        one-request wave whose cancellation is scheduled at the
+        primary's finish.  First result wins: a faster duplicate
+        replaces the outcome's payload (provenance flips to the winning
+        replica); a slower one is cancelled mid-pass at its next layer
+        boundary through the ordinary cancel path, releasing its
+        resources.
 
         Determinism note: the primary's copy always runs to completion
         on its replica — the simulator commits one replica's timeline
@@ -1707,6 +1585,8 @@ class FleetService:
         (an upper bound on the real system, which would cancel it at
         the duplicate's finish).
         """
+        from .api import SelectionRequest
+
         if request.hedge_after_ms is None or request.attempts > 1:
             # A failover retry is already running on its second
             # replica; racing a third would let the duplicate start
@@ -1722,27 +1602,33 @@ class FleetService:
             backups, key=lambda r: (r.backlog(fire_at), r.requests_served, r.index)
         )
         self._hedges_launched += 1
+        cfg = self.fleet_config
         start = max(fire_at, backup.busy_until)
         backup.sync_to(start)
-        backup.service.device.clock.advance(
-            self.fleet_config.dispatch_overhead_ms * 1e-3
+        backup.service.device.clock.advance(cfg.dispatch_overhead_ms * 1e-3)
+        wave = backup.service.serve_requests(
+            [
+                SelectionRequest(
+                    batch=request.batch,
+                    k=request.k,
+                    request_id=request.request_id,
+                    priority=request.priority,
+                    sample=False,  # the primary copy already fed the stride
+                    tenant=request.tenant,
+                )
+            ],
+            policy=cfg.intra_policy,
+            max_skew=cfg.max_skew,
+            cancels=[max(0.0, outcome.finish - backup.local_now)],
         )
-        service_start = backup.local_now
-        try:
-            result = backup.service._serve_solo(
-                request.batch,
-                request.k,
-                sample=False,  # the primary copy already fed the stride
-                cancel_at=outcome.finish + backup.origin,
-            )
-        except DeviceFault:
-            self._record_failure(backup, backup.local_now)
-            result = None
+        for drop in wave.dropped:
+            if drop.reason == "failed":
+                self._record_failure(backup, drop.at - backup.origin)
         finish = backup.local_now
         backup.busy_seconds += finish - start
         backup.busy_until = finish
         outcome.hedged = True
-        won = result is not None and finish < outcome.finish
+        won = bool(wave.outcomes) and finish < outcome.finish
         self._emit(
             "hedge",
             at=start,
@@ -1752,14 +1638,15 @@ class FleetService:
             primary=primary.index,
             won=won,
         )
-        if result is not None and finish < outcome.finish:
+        if won:
+            (scheduled,) = wave.outcomes
             self._hedges_won += 1
             backup.requests_served += 1
             outcome.replica = backup.index
             outcome.finish = finish
-            outcome.result = result
-            outcome.service_start = service_start
-            outcome.service_seconds = finish - service_start
+            outcome.result = scheduled.result
+            outcome.service_start = scheduled.start - backup.origin
+            outcome.service_seconds = scheduled.service_seconds
 
     def _autoscale(self, now: float, queue_depth: int) -> None:
         """One controller decision between dispatches (DESIGN.md §9).

@@ -126,6 +126,9 @@ class ScheduledRequest:
     #: dropped at admission if still waiting, closed at its next layer
     #: boundary (releasing weight-plane refcounts) if in flight.
     cancel_at: float | None = None
+    #: Submitting tenant on the multi-tenant plane, echoed on every
+    #: device-tier event and drop record; ``None`` = untenanted.
+    tenant: str | None = None
 
 
 @dataclass
@@ -316,6 +319,7 @@ class DeviceScheduler:
         deadline: float | None = None,
         cancel_at: float | None = None,
         client_id: str | int | None = None,
+        tenant: str | None = None,
     ) -> int:
         """Admit one request with full intent; returns its scheduler id.
 
@@ -324,7 +328,8 @@ class DeviceScheduler:
         ``client_id`` is the caller's correlation id; a duplicate among
         the in-flight (submitted, not yet drained) requests raises
         ``ValueError`` instead of silently colliding when outcomes are
-        correlated back to callers.
+        correlated back to callers.  ``tenant`` is request data, not
+        policy: it labels the request's events and drop record.
         """
         arrival = self.clock.now if arrival is None else float(arrival)
         if arrival < self.clock.now:
@@ -356,6 +361,7 @@ class DeviceScheduler:
             deadline=deadline,
             cancel_at=cancel_at,
             client_id=client_id,
+            tenant=tenant,
         )
         self._next_id += 1
         self._pending.append(request)
@@ -572,6 +578,7 @@ class DeviceScheduler:
                 deadline=request.deadline,
                 client_id=request.client_id,
                 detail=detail,
+                tenant=request.tenant,
             )
         )
         kind = {"shed": "shed", "cancelled": "cancel", "failed": "fail"}[reason]
@@ -587,6 +594,7 @@ class DeviceScheduler:
                 tier="device",
                 request=label,
                 replica=self.engine.device.events_replica,
+                tenant=request.tenant,
                 **data,
             )
 

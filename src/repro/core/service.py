@@ -256,39 +256,6 @@ class SemanticSelectionService:
     # ------------------------------------------------------------------
     # serving path
     # ------------------------------------------------------------------
-    def _serve_solo(
-        self,
-        batch: CandidateBatch,
-        k: int,
-        sample: bool | None = None,
-        cancel_at: float | None = None,
-    ) -> RerankResult | None:
-        """Serve one request to completion on the serving engine.
-
-        The fleet's serial dispatch path; a one-request
-        :meth:`serve_requests` wave (DESIGN.md §8) produces the same
-        result, clock and memory.  ``sample`` forces (``True``) or
-        suppresses (``False``) idle-check logging; ``None`` applies the
-        deterministic stride.  ``cancel_at`` (absolute device time)
-        cancels the pass at its next layer boundary — the task is
-        closed (releasing any weight-plane refcounts) and ``None`` is
-        returned; cancelled requests are neither counted as served nor
-        logged for idle checking.
-        """
-        result = self.engine.start(batch, k).run(cancel_at=cancel_at)
-        if result is None:
-            self.stats.requests_dropped += 1
-            return None
-        self.stats.requests_served += 1
-        if sample is None:
-            sample = self._stride.admit()
-        if sample:
-            self.stats.requests_sampled += 1
-            self._pending_samples.append(
-                SampledRequest(batch=batch, k=k, served_top=result.top_indices.copy())
-            )
-        return result
-
     def serve_requests(
         self,
         requests: "Sequence[SelectionRequest]",
@@ -383,26 +350,37 @@ class SemanticSelectionService:
         )
         origin = self.device.clock.now
         request_ids: list[int] = []
-        for index, request in enumerate(requests):
-            sample = request.sample
-            if sample is None:
-                sample = self._stride.admit()
-            arrival = origin + request.arrival_offset
-            cancel = cancels[index] if cancels is not None else None
-            request_ids.append(
-                scheduler.submit_request(
-                    request.batch,
-                    request.k,
-                    arrival=arrival,
-                    priority=request.priority,
-                    sample=sample,
-                    deadline=(
-                        arrival + request.deadline if request.deadline is not None else None
-                    ),
-                    cancel_at=origin + cancel if cancel is not None else None,
-                    client_id=request.request_id,
+        # A wave rejected mid-admission must leave the stride as it
+        # found it: the next wave samples exactly as if this one never
+        # happened.
+        stride_before = self._stride.accumulator
+        try:
+            for index, request in enumerate(requests):
+                sample = request.sample
+                if sample is None:
+                    sample = self._stride.admit()
+                arrival = origin + request.arrival_offset
+                cancel = cancels[index] if cancels is not None else None
+                request_ids.append(
+                    scheduler.submit_request(
+                        request.batch,
+                        request.k,
+                        arrival=arrival,
+                        priority=request.priority,
+                        sample=sample,
+                        deadline=(
+                            arrival + request.deadline
+                            if request.deadline is not None
+                            else None
+                        ),
+                        cancel_at=origin + cancel if cancel is not None else None,
+                        client_id=request.request_id,
+                        tenant=request.tenant,
+                    )
                 )
-            )
+        except BaseException:
+            self._stride.accumulator = stride_before
+            raise
         self.last_scheduler = scheduler
         outcomes = scheduler.drain()
         by_id = {outcome.request_id: outcome for outcome in outcomes}
@@ -630,11 +608,12 @@ class SemanticSelectionService:
                 )
 
         # ---- continuation: re-dispatch stranded followers ------------
-        # Served solo on the serving engine at the post-wave clock; the
-        # first stranded follower of each dead leader becomes the new
-        # leader, later siblings re-coalesce onto it.  Terminates: every
-        # follower either completes, coalesces onto a completing
-        # leader, or drops on an already-due cancel/deadline.
+        # Each is served as a one-request wave (DESIGN.md §8) at the
+        # post-wave clock; the first stranded follower of each dead
+        # leader becomes the new leader, later siblings re-coalesce onto
+        # it.  Terminates: every follower either completes, coalesces
+        # onto a completing leader, or drops (an already-due
+        # cancel/deadline, a mid-pass cancel or a device fault).
         pending = list(redispatch)
         while pending:
             f_index, f_request, f_cancel = pending.pop(0)
@@ -692,55 +671,43 @@ class SemanticSelectionService:
                 continue
             if decision.kind == "coalesced":
                 continue
-            start = self.device.clock.now
-            result = self._serve_solo(
-                f_request.batch, f_request.k, sample=False, cancel_at=cancel_abs
+            follower_wave = self._serve_wave(
+                [replace(f_request, arrival=None, deadline=None, sample=False)],
+                policy=policy,
+                quantum_layers=quantum_layers,
+                max_skew=max_skew,
+                edf=edf,
+                cancels=[cancel_abs - now if cancel_abs is not None else None],
             )
-            finish = self.device.clock.now
-            if result is None:  # cancelled mid-pass (already counted)
+            if follower_wave.dropped:  # cancelled mid-pass, or faulted
+                (drop,) = follower_wave.dropped
                 synthetic_drops.append(
-                    DroppedRequest(
-                        request_id=sid,
-                        priority=f_request.priority,
-                        arrival=arrival,
-                        at=finish,
-                        reason="cancelled",
-                        deadline=deadline_abs,
-                        client_id=f_request.request_id,
-                    )
+                    replace(drop, request_id=sid, arrival=arrival, deadline=deadline_abs)
                 )
                 pending.extend(
                     payload
                     for payload, _ in plane.invalidate(
-                        fp, at=finish, reason="cancelled", request=f_request.request_id
+                        fp, at=drop.at, reason=drop.reason, request=f_request.request_id
                     )
                 )
                 continue
+            (outcome,) = follower_wave.outcomes
             followers = plane.complete(
                 fp,
                 f_request.batch,
-                result,
-                service_seconds=finish - start,
-                weight_bytes=self._weight_bytes(result),
-                at=finish,
+                outcome.result,
+                service_seconds=outcome.service_seconds,
+                weight_bytes=self._weight_bytes(outcome.result),
+                at=outcome.finish,
                 request=f_request.request_id,
             )
             synthetic_outcomes.append(
-                ScheduledOutcome(
-                    request_id=sid,
-                    priority=f_request.priority,
-                    arrival=arrival,
-                    start=start,
-                    finish=finish,
-                    service_seconds=finish - start,
-                    preempted=False,
-                    result=result,
-                    sample=False,
-                    deadline=deadline_abs,
-                )
+                replace(outcome, request_id=sid, arrival=arrival, deadline=deadline_abs)
             )
-            resolve_followers(followers, result, finish)
+            resolve_followers(followers, outcome.result, outcome.finish)
 
+        # The caller's wave, not the last follower's, stays inspectable.
+        self.last_scheduler = wave.scheduler
         outcomes = wave.outcomes + synthetic_outcomes
         outcomes.sort(key=lambda o: (o.finish, o.request_id))
         return DeviceWave(

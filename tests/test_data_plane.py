@@ -585,6 +585,47 @@ class TestDeviceTierPlane:
                 off_by_id[off_id].result
             )
 
+    def test_stranded_follower_reruns_as_one_request_wave(self, batches):
+        """A leader cancelled mid-pass strands its coalesced twin; the
+        twin re-dispatches as a one-request wave of its own and gets
+        the exact plane-off selection, while the caller's wave stays
+        the inspectable one."""
+        service = self.make_service()
+        wave = service.serve_requests(
+            self.wave_requests(batches)[:2], cancels=[0.05, None]
+        )
+        (drop,) = wave.dropped
+        assert drop.reason == "cancelled" and drop.client_id == "leader"
+        (twin,) = wave.outcomes
+        assert twin.request_id == wave.request_ids[1] == -2
+        assert twin.cache is None and twin.start >= drop.at
+        assert twin.service_seconds == pytest.approx(twin.finish - twin.start)
+        reference = self.make_service(plane=False).serve_requests(
+            [SelectionRequest(batch=batches[0], k=5)]
+        )
+        assert selection_bytes(twin.result) == selection_bytes(
+            reference.outcomes[0].result
+        )
+        assert service.last_scheduler is wave.scheduler
+        assert service.stats.requests_served == 1
+        assert service.stats.requests_dropped == 1
+        assert service.data_plane.stats().redispatched == 1
+
+    def test_stranded_follower_cancelled_mid_pass(self, batches):
+        """The re-dispatched twin's own cancellation still lands at a
+        layer boundary of its one-request wave, and drops it with the
+        twin's identity."""
+        service = self.make_service()
+        wave = service.serve_requests(
+            self.wave_requests(batches)[:2], cancels=[0.05, 0.15]
+        )
+        assert wave.outcomes == []
+        leader, twin = wave.dropped
+        assert leader.client_id == "leader" and twin.client_id == "twin"
+        assert twin.reason == "cancelled" and twin.request_id == -2
+        assert leader.at < twin.at
+        assert service.stats.requests_dropped == 2
+
     def test_memoize_false_bypasses_the_device_plane(self, batches):
         service = self.make_service()
         wave = service.serve_requests(

@@ -333,6 +333,31 @@ class TestFleetFailover:
         assert sorted(o.request_id for o in outcomes) == ids
         assert any(o.attempts > 1 for o in outcomes)
 
+    def test_serial_read_error_fails_over_only_its_victim(self, batches):
+        """A serial replica serves its batch as a one-slot scheduler
+        wave: a one-shot SSD read error fails the request it hit, and
+        the requests queued behind it still complete on that replica."""
+        fleet = make_fleet(
+            2,
+            max_batch=3,
+            max_wait_ms=0.0,
+            routing="round_robin",
+            fault_plan=FaultPlan(
+                [FaultEvent(FAULT_SSD_READ_ERROR, at=0.05, replica=0)]
+            ),
+            resilience=ResilienceConfig(cooldown_s=1e6),
+        )
+        ids = [fleet.submit_request(batch, 5, at=0.0) for batch in batches[:3]]
+        outcomes = fleet.drain()
+        assert sorted(o.request_id for o in outcomes) == ids
+        assert fleet.stats().failovers == 1
+        (victim,) = [o for o in outcomes if o.attempts > 1]
+        assert victim.failed_over_from == (0,)
+        assert victim.replica == 1
+        survivors = [o for o in outcomes if o.attempts == 1]
+        assert len(survivors) == 2
+        assert all(o.replica == 0 for o in survivors)
+
     def test_retries_bounded(self, batches):
         """With zero retries, the crash's victims drop as failed —
         bounded failover, never a loop."""
@@ -492,12 +517,23 @@ class TestFleetFailover:
 # hedging
 # ----------------------------------------------------------------------
 class TestHedging:
+    """Straggler hedging on serial replicas; :class:`TestHedgingConcurrent`
+    reruns every case on multiplexing replicas — both dispatch through
+    the replica's scheduler, so hedging holds on either."""
+
+    INTRA_CONCURRENCY = 1
+
     def test_hedge_wins_against_stalled_primary(self, batches):
         plan = FaultPlan(
             [FaultEvent(FAULT_REPLICA_STALL, at=0.0, replica=0, duration=1.0)]
         )
         fleet = make_fleet(
-            2, max_batch=1, max_wait_ms=0.0, routing="round_robin", fault_plan=plan
+            2,
+            max_batch=1,
+            max_wait_ms=0.0,
+            routing="round_robin",
+            fault_plan=plan,
+            intra_concurrency=self.INTRA_CONCURRENCY,
         )
         request_id = fleet.submit_request(batches[0], 5, hedge_after_ms=300.0)
         (outcome,) = fleet.drain()
@@ -511,7 +547,9 @@ class TestHedging:
         """Identical replicas, hedge fired deep into the primary's
         ~300 ms pass: the duplicate cannot catch up, loses the race,
         and is cancelled mid-pass through the ordinary cancel path."""
-        fleet = make_fleet(2, max_batch=1, max_wait_ms=0.0)
+        fleet = make_fleet(
+            2, max_batch=1, max_wait_ms=0.0, intra_concurrency=self.INTRA_CONCURRENCY
+        )
         fleet.submit_request(batches[0], 5, hedge_after_ms=200.0)
         (outcome,) = fleet.drain()
         stats = fleet.stats()
@@ -522,18 +560,24 @@ class TestHedging:
         assert fleet.replicas[1].service.stats.requests_dropped == 1
 
     def test_fast_primary_never_hedges(self, batches):
-        fleet = make_fleet(2, max_batch=1, max_wait_ms=0.0)
+        fleet = make_fleet(
+            2, max_batch=1, max_wait_ms=0.0, intra_concurrency=self.INTRA_CONCURRENCY
+        )
         fleet.submit_request(batches[0], 5, hedge_after_ms=60_000.0)
         (outcome,) = fleet.drain()
         assert not outcome.hedged
         assert fleet.stats().hedges_launched == 0
 
     def test_bad_hedge_rejected(self, batches):
-        fleet = make_fleet(1)
+        fleet = make_fleet(1, intra_concurrency=self.INTRA_CONCURRENCY)
         with pytest.raises(ValueError):
             fleet.submit_request(batches[0], 5, hedge_after_ms=0.0)
         with pytest.raises(ValueError):
             SelectionRequest(batch=batches[0], k=5, hedge_after_ms=-1.0)
+
+
+class TestHedgingConcurrent(TestHedging):
+    INTRA_CONCURRENCY = 3
 
 
 # ----------------------------------------------------------------------

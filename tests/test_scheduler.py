@@ -456,6 +456,21 @@ class TestServiceConcurrentMode:
         service.serve_requests([SelectionRequest(batch=batch, k=4) for batch in batches])
         assert service.stats.requests_sampled == 2  # same as an untouched stride
 
+    def test_wave_rejected_mid_admission_restores_sampling_stride(self):
+        """Validation inside the scheduler (a duplicate request id) can
+        reject a wave after earlier requests already drew their stride
+        samples; the stride must come back exactly as it was."""
+        batches = [make_batch(num_candidates=10, query_idx=i) for i in range(4)]
+        service = self._service(sample_rate=0.25)
+        with pytest.raises(ValueError, match="duplicate"):
+            service.serve_requests(
+                [SelectionRequest(batch=batch, k=4, request_id="dup") for batch in batches[:2]]
+            )
+        assert service._stride.accumulator == 0.0
+        assert service.stats.requests_served == 0
+        service.serve_requests([SelectionRequest(batch=batch, k=4) for batch in batches])
+        assert service.stats.requests_sampled == 1  # same as an untouched stride
+
     def test_idle_maintenance_after_concurrent_wave(self):
         service = self._service(sample_rate=1.0)
         batches = [make_batch(num_candidates=10, query_idx=i) for i in range(2)]

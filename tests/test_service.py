@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.api import SelectionRequest
 from repro.core.config import PrismConfig
-from repro.core.service import SemanticSelectionService
+from repro.core.service import SampleStride, SemanticSelectionService
 from repro.data.datasets import get_dataset
 from repro.data.workloads import build_batch
 from repro.device.platforms import get_profile
@@ -214,26 +214,31 @@ class TestClosedLoop:
 class TestOneRequestWave:
     @pytest.mark.parametrize("numerics", [False, True])
     @pytest.mark.parametrize("dataset", ["wikipedia", "fiqa"])
-    def test_matches_serve_solo(self, dataset, numerics):
-        """A one-request ``serve_requests`` wave is observably the fleet's
-        serial ``_serve_solo`` path: same selection, scores, latency,
-        device clock, idle-check log and peak memory, request by request."""
+    def test_matches_bare_engine_pass(self, dataset, numerics):
+        """A one-request ``serve_requests`` wave is observably a bare
+        engine pass plus the service's sampling stride: same selection,
+        scores, latency, device clock, idle-check log and peak memory,
+        request by request."""
         tokenizer = shared_tokenizer(QWEN3_0_6B)
         queries = get_dataset(dataset).queries(6, 16)  # dataset-seeded
         config = PrismConfig(numerics=numerics)
         wave_service = make_service(config=config)
-        solo_service = make_service(config=config)
+        reference = make_service(config=config)
+        stride = SampleStride(reference.sample_rate)
+        reference_samples = []
         for query in queries:
             batch = build_batch(query, tokenizer, QWEN3_0_6B.max_seq_len)
             via_wave = serve_one(wave_service, batch, 5)
-            via_solo = solo_service._serve_solo(batch, 5)
-            np.testing.assert_array_equal(via_wave.top_indices, via_solo.top_indices)
-            np.testing.assert_array_equal(via_wave.top_scores, via_solo.top_scores)
-            assert via_wave.latency_seconds == via_solo.latency_seconds
-            assert wave_service.device.clock.now == solo_service.device.clock.now
-            assert wave_service.pending_samples == solo_service.pending_samples
-            assert wave_service.device.memory.peak == solo_service.device.memory.peak
-        assert wave_service.stats.requests_served == solo_service.stats.requests_served
+            via_engine = reference.engine.start(batch, 5).run()
+            if stride.admit():
+                reference_samples.append(via_engine.top_indices.copy())
+            np.testing.assert_array_equal(via_wave.top_indices, via_engine.top_indices)
+            np.testing.assert_array_equal(via_wave.top_scores, via_engine.top_scores)
+            assert via_wave.latency_seconds == via_engine.latency_seconds
+            assert wave_service.device.clock.now == reference.device.clock.now
+            assert wave_service.pending_samples == len(reference_samples)
+            assert wave_service.device.memory.peak == reference.device.memory.peak
+        assert wave_service.stats.requests_served == len(queries)
         assert wave_service.pending_samples > 0  # the stride logged some requests
-        for a, b in zip(wave_service._pending_samples, solo_service._pending_samples):
-            np.testing.assert_array_equal(a.served_top, b.served_top)
+        for a, b in zip(wave_service._pending_samples, reference_samples):
+            np.testing.assert_array_equal(a.served_top, b)

@@ -248,6 +248,31 @@ class TestFleetIntegration:
         completes = [e for e in log if e.kind == "complete"]
         assert {e.tenant for e in completes} == {"capped", "free"}
 
+    def test_device_tier_events_carry_tenant_ids(self, batches):
+        """Every fleet batch runs through the replica's scheduler; its
+        device-tier events name the submitting tenant, while the
+        telemetry tenant rollup counts each completion once (on the
+        fleet tier only)."""
+        from repro.core.telemetry import TelemetryCollector
+
+        log = EventLog()
+        fleet = make_fleet(
+            TenancyConfig(), event_log=log, max_batch=3, intra_concurrency=3
+        )
+        for i, tenant in enumerate(["a", "b", "a"]):
+            fleet.submit_request(batches[i], 2, at=0.0, tenant=tenant)
+        outcomes = fleet.drain()
+        device = [e for e in log if e.tier == "device"]
+        assert {e.kind for e in device} >= {"admit", "dispatch", "complete"}
+        assert all(e.tenant in ("a", "b") for e in device)
+        for kind in ("admit", "complete"):
+            assert sorted(e.tenant for e in device if e.kind == kind) == ["a", "a", "b"]
+        collector = TelemetryCollector()
+        collector.observe_all(log.events)
+        completed = collector.tenant_completed
+        assert completed.value("a") == 2 and completed.value("b") == 1
+        assert len(outcomes) == 3
+
     def test_zero_completion_tenant_renders_dash(self, batches):
         from repro.harness.reporting import ms
 
